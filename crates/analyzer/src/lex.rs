@@ -277,7 +277,13 @@ fn skip_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
     i += 1; // opening quote
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // A `\`-newline continuation still ends a source line.
+                if b.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;

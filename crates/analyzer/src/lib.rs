@@ -1,7 +1,7 @@
 //! `hpcc-analyzer`: offline, std-only, token-level static analysis for the
 //! workspace's serving path.
 //!
-//! Four passes, each with a stable finding code, run over the workspace by
+//! Five passes, each with a stable finding code, run over the workspace by
 //! `cargo run --release -p hpcc-analyzer -- --workspace` (CI's lint job):
 //!
 //! * **HL001** — no-panic serving path: in the designated fuseproto modules,
@@ -18,17 +18,25 @@
 //! * **HL004** — protocol exhaustiveness: every `Operation` variant must
 //!   appear in the opcode table, encode/decode arms, and `reply_kind`;
 //!   every kernel `Errno` variant must appear in the wire errno table.
+//! * **HL005** — unsafe allowlist: an `unsafe` token in any crate's `src/`
+//!   outside test code is an error unless it is the one site in an
+//!   [`unsafe_audit::UNSAFE_ALLOWLIST`] file under a `// SAFETY:` comment,
+//!   and every library crate root must carry `#![forbid(unsafe_code)]` or
+//!   `#![deny(unsafe_code)]`.
 //!
 //! The passes work on a comment/string/raw-string-aware token stream
 //! ([`lex`]) — `unwrap` inside a string literal, a doc comment, or a
 //! `stringify!` token tree never fires. See `LINTS.md` at the workspace root
 //! for the full contract and the justification-marker grammar.
 
+#![forbid(unsafe_code)]
+
 pub mod lex;
 pub mod lock_order;
 pub mod no_panic;
 pub mod poison;
 pub mod protocol;
+pub mod unsafe_audit;
 
 use std::fs;
 use std::io;
@@ -79,10 +87,10 @@ fn load(root: &Path, rel: &str) -> io::Result<SourceFile> {
     Ok(lex::lex(rel, &src))
 }
 
-/// Collects every `.rs` file under `crates/<crate>/src`, workspace-relative.
-fn crate_src_files(root: &Path, krate: &str) -> io::Result<Vec<String>> {
+/// Collects every `.rs` file under the workspace-relative directory `rel`.
+fn rs_files(root: &Path, rel: &str) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
-    let dir = root.join("crates").join(krate).join("src");
+    let dir = root.join(rel);
     if dir.is_dir() {
         walk(&dir, &mut out)?;
     }
@@ -111,17 +119,12 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// The crates HL002/HL003 scan (everything with a `src/` under `crates/`,
-/// except the analyzer itself — its fixture corpus is *intentionally*
-/// violating).
-fn lintable_crates(root: &Path) -> io::Result<Vec<String>> {
+/// Every crate with a `src/` under `crates/`.
+fn workspace_crates(root: &Path) -> io::Result<Vec<String>> {
     let mut names = Vec::new();
     for entry in fs::read_dir(root.join("crates"))? {
         let entry = entry?;
         let name = entry.file_name().to_string_lossy().to_string();
-        if name == "analyzer" {
-            continue;
-        }
         if entry.path().join("src").is_dir() {
             names.push(name);
         }
@@ -130,7 +133,7 @@ fn lintable_crates(root: &Path) -> io::Result<Vec<String>> {
     Ok(names)
 }
 
-/// Runs all four passes over the workspace rooted at `root`, returning every
+/// Runs all five passes over the workspace rooted at `root`, returning every
 /// finding sorted by file and line.
 pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
@@ -141,14 +144,30 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         findings.extend(no_panic::check(&file));
     }
 
-    // HL002 + HL003: per crate.
-    for krate in lintable_crates(root)? {
-        let files: Vec<SourceFile> = crate_src_files(root, &krate)?
+    // Per source directory (the workspace's `src/` and each crate's).
+    // HL002 + HL003 run per crate, except on the analyzer itself, whose
+    // fixture corpus is *intentionally* violating. HL005 checks every file
+    // and every library crate root.
+    let crate_dirs = workspace_crates(root)?
+        .into_iter()
+        .map(|krate| format!("crates/{krate}/src"));
+    for dir in std::iter::once("src".to_string()).chain(crate_dirs) {
+        let files: Vec<SourceFile> = rs_files(root, &dir)?
             .iter()
             .map(|rel| load(root, rel))
             .collect::<io::Result<_>>()?;
-        findings.extend(lock_order::check_crate(&files));
-        findings.extend(poison::check_crate(&files));
+        if dir.starts_with("crates/") && dir != "crates/analyzer/src" {
+            findings.extend(lock_order::check_crate(&files));
+            findings.extend(poison::check_crate(&files));
+        }
+        let root_file = format!("{dir}/lib.rs");
+        for file in &files {
+            if file.path == root_file {
+                findings.extend(unsafe_audit::check_root(file));
+            }
+            let allowlisted = unsafe_audit::UNSAFE_ALLOWLIST.contains(&file.path.as_str());
+            findings.extend(unsafe_audit::check_file(file, allowlisted));
+        }
     }
 
     // HL004: protocol exhaustiveness.

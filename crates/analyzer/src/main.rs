@@ -25,12 +25,12 @@ fn main() -> ExitCode {
             },
             "--pass" => match args.next() {
                 Some(p) => pass = Some(p),
-                None => return usage("--pass needs a code (HL001..HL004)"),
+                None => return usage("--pass needs a code (HL001..HL005)"),
             },
             "--help" | "-h" => {
                 println!(
                     "hpcc-analyzer: workspace static lints (HL001 no-panic, HL002 lock-order, \
-                     HL003 poison-hygiene, HL004 protocol-exhaustiveness)\n\n\
+                     HL003 poison-hygiene, HL004 protocol-exhaustiveness, HL005 unsafe allowlist)\n\n\
                      usage: hpcc-analyzer [--workspace] [--root DIR] [--pass HLnnn]"
                 );
                 return ExitCode::SUCCESS;
@@ -67,7 +67,7 @@ fn main() -> ExitCode {
         println!("{f}\n");
     }
     if findings.is_empty() {
-        println!("hpcc-analyzer: workspace clean (HL001 HL002 HL003 HL004)");
+        println!("hpcc-analyzer: workspace clean (HL001 HL002 HL003 HL004 HL005)");
         ExitCode::SUCCESS
     } else {
         println!("hpcc-analyzer: {} finding(s)", findings.len());

@@ -7,7 +7,7 @@ use std::path::Path;
 
 use hpcc_analyzer::lex::{lex, SourceFile};
 use hpcc_analyzer::protocol::{self, EnumCheck, Region};
-use hpcc_analyzer::{lock_order, no_panic, poison};
+use hpcc_analyzer::{lock_order, no_panic, poison, unsafe_audit};
 
 fn fixture(name: &str) -> SourceFile {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -170,4 +170,73 @@ fn hl004_reports_a_stale_spec_instead_of_passing_vacuously() {
     });
     assert_eq!(findings.len(), 1);
     assert!(findings[0].message.contains("stale"));
+}
+
+#[test]
+fn hl005_admits_the_one_allowlisted_site() {
+    let file = fixture("hl005_allowlisted.rs");
+    let findings = unsafe_audit::check_file(&file, true);
+    assert!(
+        findings.is_empty(),
+        "one SAFETY-commented site in an allowlisted file is clean:\n{}",
+        findings
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    assert!(unsafe_audit::check_root(&file).is_empty());
+}
+
+#[test]
+fn hl005_flags_a_site_outside_the_allowlist() {
+    let findings = unsafe_audit::check_file(&fixture("hl005_allowlisted.rs"), false);
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("outside the allowlisted site"));
+    assert_eq!(findings[0].snippet, "unsafe {");
+}
+
+#[test]
+fn hl005_flags_a_second_block_in_an_allowlisted_file() {
+    let findings = unsafe_audit::check_file(&fixture("hl005_second_block.rs"), true);
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("second `unsafe` site"));
+    assert_eq!(findings[0].line, 17);
+}
+
+#[test]
+fn hl005_requires_a_safety_comment_and_a_live_allowlist_entry() {
+    let src =
+        "fn f(v: &[u8]) -> u8 {\n    // reads the first byte\n    unsafe { *v.as_ptr() }\n}\n";
+    let findings = unsafe_audit::check_file(&lex("m.rs", src), true);
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("SAFETY"));
+
+    let findings = unsafe_audit::check_file(&lex("m.rs", "fn f() {}\n"), true);
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("stale allowlist entry"));
+}
+
+#[test]
+fn hl005_flags_a_crate_root_that_dropped_its_attribute() {
+    let findings = unsafe_audit::check_root(&fixture("hl005_root_dropped.rs"));
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("crate root lacks"));
+    for root in [
+        "#![forbid(unsafe_code)]\n",
+        "#![deny(missing_docs, unsafe_code)]\n",
+    ] {
+        assert!(
+            unsafe_audit::check_root(&lex("lib.rs", root)).is_empty(),
+            "{root}"
+        );
+    }
+}
+
+#[test]
+fn lexer_counts_lines_through_string_continuations() {
+    let src = "const S: &str = \"a\\\n    b\";\nfn f() { unsafe {} }\n";
+    let file = lex("m.rs", src);
+    let site = file.tokens.iter().find(|t| t.is_ident("unsafe")).unwrap();
+    assert_eq!(site.line, 3);
 }

@@ -66,14 +66,17 @@ fn bench_snapshot_clone(c: &mut Criterion) {
 
 fn bench_sha256_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256_throughput");
-    for size in [4 * 1024usize, 1024 * 1024] {
+    // 64B is a `state_id`-sized input and 41KiB the paper_force layer; both
+    // are informational (no baseline row: their absolute speed depends on
+    // whether the CPU has SHA extensions).
+    for (size, label) in [
+        (64usize, "64B"),
+        (4 * 1024, "4KiB"),
+        (41 * 1024, "41KiB"),
+        (1024 * 1024, "1MiB"),
+    ] {
         let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
-        let label = if size >= 1024 * 1024 {
-            format!("{}MiB", size / (1024 * 1024))
-        } else {
-            format!("{}KiB", size / 1024)
-        };
-        group.bench_function(format!("one_shot_{}", label), |b| {
+        group.bench_function(format!("one_shot_{label}"), |b| {
             b.iter(|| sha256(black_box(&data)))
         });
     }

@@ -156,11 +156,12 @@ impl DistributionRegistry {
             .unwrap_or_default();
         policy.check(image.ownership)?;
 
-        // Upload config blob.
+        // Upload config blob; the bytes move into the store, not a copy.
         let config_bytes = image.config.canonical().into_bytes();
         let config_digest = sha256(&config_bytes);
+        let config_size = config_bytes.len() as u64;
         if !self.blobs.has(&config_digest) {
-            self.blobs.put(&config_digest, config_bytes.clone())?;
+            self.blobs.put(&config_digest, config_bytes)?;
         }
         // Upload layer blobs, skipping ones already present. `layer.tar` is
         // a shared handle, so an upload is a refcount bump, not a copy.
@@ -176,11 +177,7 @@ impl DistributionRegistry {
             ));
         }
         let manifest = OciManifest::new(
-            Descriptor::new(
-                MediaType::ImageConfig,
-                config_digest,
-                config_bytes.len() as u64,
-            ),
+            Descriptor::new(MediaType::ImageConfig, config_digest, config_size),
             layer_descs,
         )
         .with_annotation(FLATTEN_ANNOTATION, policy.as_str())
@@ -341,6 +338,20 @@ mod tests {
         assert_eq!(pulled.manifest.digest(), digest);
         assert_eq!(pulled.image.layers[0].tar, b"aarch64 ATSE layer");
         assert_eq!(reg.pull_count(), 1);
+    }
+
+    #[test]
+    fn pushed_config_blob_round_trips_by_digest() {
+        let mut reg = registry();
+        let img = test_image("amd64", b"layer", OwnershipMode::Flattened);
+        let digest = reg
+            .push_image("alice", "atse/app", "1.0", Platform::linux_amd64(), &img)
+            .unwrap();
+        let config = reg.manifest("atse/app", &digest).unwrap().config.clone();
+        let stored = reg.blob_stats().get(&config.digest).unwrap();
+        assert_eq!(stored, img.config.canonical().as_bytes());
+        assert_eq!(sha256(stored), config.digest);
+        assert_eq!(stored.len() as u64, config.size);
     }
 
     #[test]
