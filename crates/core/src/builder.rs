@@ -10,12 +10,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use hpcc_distro::{base_image, catalog_for, Catalog};
+use hpcc_distro::{base_image, catalog_for, BaseImage, Catalog};
 use hpcc_fakeroot::LieDatabase;
 use hpcc_image::{Digest, Image, ImageConfig, Registry};
-use hpcc_kernel::{Credentials, Sysctl, UserNamespace};
+use hpcc_kernel::{Credentials, KResult, Sysctl, UserNamespace};
 use hpcc_runtime::{Container, Invoker, PrivilegeType, StorageDriver, SubIdDb};
-use hpcc_vfs::{Actor, Filesystem, FsBackend};
+use hpcc_vfs::{tar, Actor, Filesystem, FsBackend};
 
 use crate::cache::{lock_recover, ShardedBuildCache};
 use crate::error::BuildError;
@@ -293,11 +293,12 @@ impl Drop for LeaderGuard<'_> {
 /// Process-wide memo of launched base-image environments, keyed by
 /// `(reference, arch)`.
 ///
-/// Constructing a base tree, packaging it as an image, and launching a build
-/// container is deterministic for a fixed builder kind, so cold
-/// (instruction-cache-off) builds after the first adopt a CoW snapshot of the
-/// launched rootfs instead of repeating the pack/unpack round trip — the
-/// dominant cost of an uncached `FROM` (PERF.md §6). Historically this memo
+/// Constructing a base tree and launching a build container from it is
+/// deterministic for a fixed builder kind, so cold (instruction-cache-off)
+/// builds after the first adopt a CoW snapshot of the launched rootfs
+/// instead of building the tree and installing it into a fresh rootfs again
+/// (the launch installs the tree's entries directly, with no archive in
+/// between; PERF.md §13). Historically this memo
 /// lived per-[`Builder`], so concurrent tenants on a build farm re-derived
 /// identical base environments; it is now a shared handle
 /// ([`Builder::with_shared`]) with in-flight dedup: when N builders race on
@@ -542,8 +543,8 @@ impl Builder {
         }
         // Memoized launch: the second and later cold builds from the same
         // base adopt a CoW snapshot of the launched rootfs (a refcount bump)
-        // instead of rebuilding the base tree and tar round-tripping it
-        // through a fresh container. The memo is shared across builders, so
+        // instead of rebuilding the base tree and installing it into a fresh
+        // container. The memo is shared across builders, so
         // under a build farm the first tenant to reach a base leads the
         // derivation and concurrent tenants wait and adopt.
         let key = (
@@ -588,33 +589,14 @@ impl Builder {
     }
 
     /// Derives a base environment from scratch: build the canonical base
-    /// tree, package it as an image, launch a build container under this
-    /// builder's privilege type, and capture the result as a template.
+    /// tree, launch a build container from it under this builder's
+    /// privilege type, and capture the result as a template.
     fn derive_base_env(&self, reference: &str, arch: &str) -> Result<BaseEnvTemplate, String> {
         let base = base_image(reference, arch)
             .ok_or_else(|| format!("error: no base image: {}", reference))?;
-        // Package the canonical root-owned base tree as an image, then let
-        // the runtime instantiate it under the right privilege type.
-        let root_creds = Credentials::host_root();
-        let host_ns = UserNamespace::initial();
-        let actor = Actor::new(&root_creds, &host_ns);
-        let cfg = ImageConfig {
-            architecture: arch.to_string(),
-            ..Default::default()
-        };
-        let image = Image::from_fs_preserved(reference, &base.fs, &actor, cfg)
-            .map_err(|e| format!("error: cannot package base image: {}", e))?;
-        let container = match &self.kind {
-            BuilderKind::Docker => Container::launch_type1(&image, None),
-            BuilderKind::RootlessPodman {
-                subuid,
-                driver,
-                backend,
-                sysctl,
-            } => Container::launch_type2(&image, &self.invoker, subuid, *driver, *backend, sysctl),
-            BuilderKind::ChImage => Container::launch_type3(&image, &self.invoker),
-        }
-        .map_err(|e| format!("error: cannot create build container: {}", e))?;
+        let container = self
+            .launch_base(&base, arch)
+            .map_err(|e| format!("error: cannot create build container: {}", e))?;
         Ok(BaseEnvTemplate {
             fs: container.rootfs,
             creds: container.creds,
@@ -622,6 +604,39 @@ impl Builder {
             catalog: base.catalog,
             base_reference: reference.to_string(),
         })
+    }
+
+    /// Launches a build container from a base tree under this builder's
+    /// privilege type, straight from the tree's entries ([`tar::tree`]) with
+    /// the options a preserved-ownership image is packed with. The result is
+    /// that of packaging the tree with [`Image::from_fs_preserved`] and
+    /// launching the image, without building, hashing and parsing an archive
+    /// that nothing keeps.
+    fn launch_base(&self, base: &BaseImage, arch: &str) -> KResult<Container> {
+        // The base tree is root-owned, seen from the host.
+        let root_creds = Credentials::host_root();
+        let host_ns = UserNamespace::initial();
+        let actor = Actor::new(&root_creds, &host_ns);
+        let options = tar::PackOptions::namespace_view();
+        let entries = tar::tree(&base.fs, &actor, "/", &options);
+        match &self.kind {
+            BuilderKind::Docker => Container::launch_type1_from(&entries, arch),
+            BuilderKind::RootlessPodman {
+                subuid,
+                driver,
+                backend,
+                sysctl,
+            } => Container::launch_type2_from(
+                &entries,
+                arch,
+                &self.invoker,
+                subuid,
+                *driver,
+                *backend,
+                sysctl,
+            ),
+            BuilderKind::ChImage => Container::launch_type3_from(&entries, arch, &self.invoker),
+        }
     }
 
     /// Builds the environment for a `FROM` instruction served from the build
@@ -869,6 +884,9 @@ pub fn default_subuid_for(user: &str) -> SubIdDb {
     db.add_range(user, 200_000, 65_536);
     db
 }
+
+#[cfg(test)]
+mod base_env_exactness;
 
 #[cfg(test)]
 mod tests {

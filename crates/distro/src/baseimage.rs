@@ -205,6 +205,17 @@ pub fn debian10(arch: &str) -> BaseImage {
     }
 }
 
+/// Every reference [`base_image`] knows.
+pub const BASE_REFERENCES: [&str; 7] = [
+    "centos:7",
+    "centos:7.9",
+    "rhel:7",
+    "debian:buster",
+    "debian:10",
+    "ubuntu:18.04",
+    "ubuntu:20.04",
+];
+
 /// Returns the base image for an image reference, or `None` if unknown.
 pub fn base_image(reference: &str, arch: &str) -> Option<BaseImage> {
     match reference {
@@ -279,6 +290,9 @@ mod tests {
         assert!(base_image("centos:7", "x86_64").is_some());
         assert!(base_image("debian:buster", "aarch64").is_some());
         assert!(base_image("alpine:3", "x86_64").is_none());
+        for reference in BASE_REFERENCES {
+            assert!(base_image(reference, "x86_64").is_some(), "{reference}");
+        }
     }
 
     #[test]

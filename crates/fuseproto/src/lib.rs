@@ -184,7 +184,7 @@ mod proptests {
                 (s_res.err().map(|e| e.code()), d_res.err().map(|e| e.code()))
             }
             _ => {
-                let mode = Mode::new(if op % 2 == 0 { 0o700 } else { 0o755 });
+                let mode = Mode::new(if op.is_multiple_of(2) { 0o700 } else { 0o755 });
                 let s_res = session.resolve_path(cred, p1, true).and_then(|e| {
                     session
                         .setattr(cred, e.ino, &Setattr::none().with_mode(mode))

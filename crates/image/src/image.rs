@@ -13,13 +13,20 @@ use crate::sha256::{sha256, Digest, Sha256};
 
 /// A buffer that digests everything appended to it, so serializers hash
 /// layer bytes as they are produced instead of in a second pass.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DigestingBuf {
     buf: Vec<u8>,
     hasher: Sha256,
 }
 
 impl DigestingBuf {
+    fn with_capacity(capacity: usize) -> Self {
+        DigestingBuf {
+            buf: Vec::with_capacity(capacity),
+            hasher: Sha256::new(),
+        }
+    }
+
     fn into_parts(self) -> (FileBytes, Digest) {
         (FileBytes::new(self.buf), self.hasher.finalize())
     }
@@ -63,14 +70,16 @@ impl Layer {
     }
 
     /// Serializes the subtree at `root` of `fs` into a layer, hashing the
-    /// tar stream while it is produced (single pass over the bytes).
+    /// tar stream while it is produced (single pass over the bytes). The
+    /// buffer is sized once, from [`tar::packed_size_bound`], instead of
+    /// growing by doubling.
     pub fn pack_from_fs(
         fs: &Filesystem,
         actor: &Actor,
         root: &str,
         options: &tar::PackOptions,
     ) -> KResult<Self> {
-        let mut out = DigestingBuf::default();
+        let mut out = DigestingBuf::with_capacity(tar::packed_size_bound(fs));
         tar::pack_into(fs, actor, root, options, &mut out)?;
         let (tar, digest) = out.into_parts();
         Ok(Layer { digest, tar })
@@ -79,6 +88,19 @@ impl Layer {
     /// Size in bytes.
     pub fn size(&self) -> usize {
         self.tar.len()
+    }
+}
+
+/// An image's entries are its layers' entries, base layer first: installing
+/// an image unpacks each layer over the one below.
+impl tar::EntrySource for Image {
+    fn for_each_entry(
+        &self,
+        f: &mut dyn FnMut(tar::TarEntryRef<'_>) -> KResult<()>,
+    ) -> KResult<()> {
+        self.layers
+            .iter()
+            .try_for_each(|layer| tar::EntrySource::for_each_entry(layer.tar.as_slice(), f))
     }
 }
 
@@ -222,16 +244,7 @@ impl Image {
         actor: &Actor,
         config: ImageConfig,
     ) -> KResult<Self> {
-        let layer = Layer::pack_from_fs(
-            fs,
-            actor,
-            "/",
-            &tar::PackOptions {
-                ownership: tar::OwnershipPolicy::NamespaceView,
-                skip_devices: false,
-                clear_setid: false,
-            },
-        )?;
+        let layer = Layer::pack_from_fs(fs, actor, "/", &tar::PackOptions::namespace_view())?;
         Ok(Image {
             reference: reference.to_string(),
             config,
@@ -271,17 +284,15 @@ impl Image {
     /// ownership to the given user — what a Type III puller does (paper §5.2).
     pub fn unpack(&self, force_owner: Option<(Uid, Gid)>) -> KResult<Filesystem> {
         let mut fs = Filesystem::new_local();
-        for layer in &self.layers {
-            tar::unpack(
-                &mut fs,
-                &layer.tar,
-                "/",
-                &tar::UnpackOptions {
-                    force_owner,
-                    skip_devices: true,
-                },
-            )?;
-        }
+        tar::install(
+            &mut fs,
+            self,
+            "/",
+            &tar::UnpackOptions {
+                force_owner,
+                skip_devices: true,
+            },
+        )?;
         Ok(fs)
     }
 

@@ -12,12 +12,15 @@ use hpcc_fuseproto::{
     FsCreds, MemFs, ReaderSession, ServeConfig, Server, Session, SharedImage, Transport,
 };
 use hpcc_kernel::{Credentials, Errno, Gid, KResult, Sysctl, Uid, UserNamespace};
-use hpcc_vfs::{tar, Actor, Filesystem, FsBackend, Mode};
+use hpcc_vfs::tar::{self, EntrySource};
+use hpcc_vfs::{Actor, Filesystem, FsBackend, Mode};
 
 use hpcc_image::Image;
 
 use crate::privilege::PrivilegeType;
-use crate::storage::{prepare_rootfs, IdPersistence, StorageCost, StorageDriver};
+use crate::storage::{
+    prepare_rootfs, prepare_rootfs_from, unpack_entries, IdPersistence, StorageCost, StorageDriver,
+};
 use crate::subid::SubIdDb;
 
 /// A running (or buildable) container.
@@ -109,14 +112,22 @@ impl Container {
         if let Some(host_arch) = arch_check {
             check_arch(image, host_arch)?;
         }
-        let mut rootfs = image.unpack(None)?;
+        Container::launch_type1_from(image, &image.config.architecture)
+    }
+
+    /// [`Container::launch_type1`] from any entry source — an image's layer
+    /// archives, or a live tree ([`tar::tree`]) whose entries are installed
+    /// without packing an archive first. `arch` is the image architecture.
+    pub fn launch_type1_from(entries: &dyn EntrySource, arch: &str) -> KResult<Container> {
+        let mut rootfs = Filesystem::new_local();
+        unpack_entries(&mut rootfs, entries, None)?;
         add_pseudo_filesystems(&mut rootfs);
         Ok(Container {
             privilege: PrivilegeType::TypeI,
             rootfs,
             userns: UserNamespace::initial(),
             creds: Credentials::host_root(),
-            arch: image.config.architecture.clone(),
+            arch: arch.to_string(),
             storage_cost: StorageCost::default(),
             shared: OnceLock::new(),
         })
@@ -135,6 +146,22 @@ impl Container {
         backend: FsBackend,
         sysctl: &Sysctl,
     ) -> KResult<Container> {
+        let arch = &image.config.architecture;
+        Container::launch_type2_from(image, arch, invoker, subuid, driver, backend, sysctl)
+    }
+
+    /// [`Container::launch_type2`] from any entry source; see
+    /// [`Container::launch_type1_from`]. The storage cost counts the
+    /// source's entries.
+    pub fn launch_type2_from(
+        entries: &dyn EntrySource,
+        arch: &str,
+        invoker: &Invoker,
+        subuid: &SubIdDb,
+        driver: StorageDriver,
+        backend: FsBackend,
+        sysctl: &Sysctl,
+    ) -> KResult<Container> {
         let ranges = subuid.ranges_for(&invoker.name);
         let range = ranges.first().ok_or(Errno::EPERM)?;
         let userns = UserNamespace::type2(invoker.uid, invoker.gid, range.start, range.count);
@@ -143,7 +170,7 @@ impl Container {
             _ => IdPersistence::SubordinateIds,
         };
         let (mut base, cost) =
-            prepare_rootfs(image, driver, backend, sysctl, invoker.uid.0, persistence)?;
+            prepare_rootfs_from(entries, driver, backend, sysctl, invoker.uid.0, persistence)?;
         // Re-map recorded container IDs to subordinate host IDs (what really
         // happens when the rootless engine extracts layers inside the userns).
         remap_ownership_into(&mut base, &userns)?;
@@ -153,7 +180,7 @@ impl Container {
             rootfs: base,
             userns,
             creds: invoker.host_creds().entered_own_namespace(),
-            arch: image.config.architecture.clone(),
+            arch: arch.to_string(),
             storage_cost: cost,
             shared: OnceLock::new(),
         })
@@ -163,7 +190,18 @@ impl Container {
     /// become owned by the invoking user (paper §5.2), and only one UID/GID
     /// is mapped.
     pub fn launch_type3(image: &Image, invoker: &Invoker) -> KResult<Container> {
-        let mut rootfs = image.unpack(Some((invoker.uid, invoker.gid)))?;
+        Container::launch_type3_from(image, &image.config.architecture, invoker)
+    }
+
+    /// [`Container::launch_type3`] from any entry source; see
+    /// [`Container::launch_type1_from`].
+    pub fn launch_type3_from(
+        entries: &dyn EntrySource,
+        arch: &str,
+        invoker: &Invoker,
+    ) -> KResult<Container> {
+        let mut rootfs = Filesystem::new_local();
+        unpack_entries(&mut rootfs, entries, Some((invoker.uid, invoker.gid)))?;
         add_pseudo_filesystems(&mut rootfs);
         let userns = UserNamespace::type3(invoker.uid, invoker.gid);
         Ok(Container {
@@ -171,7 +209,7 @@ impl Container {
             rootfs,
             userns,
             creds: invoker.host_creds().entered_own_namespace(),
-            arch: image.config.architecture.clone(),
+            arch: arch.to_string(),
             storage_cost: StorageCost::default(),
             shared: OnceLock::new(),
         })

@@ -6,8 +6,9 @@
 //! attributes*, which clashes with default-configured Lustre, GPFS and NFS
 //! (§6.1) — that interaction is modelled here.
 
-use hpcc_kernel::{Errno, KResult, Sysctl, Uid};
-use hpcc_vfs::{tar, Filesystem, FsBackend};
+use hpcc_kernel::{Errno, Gid, KResult, Sysctl, Uid};
+use hpcc_vfs::tar::{self, EntrySource};
+use hpcc_vfs::{Filesystem, FsBackend};
 
 use hpcc_image::Image;
 
@@ -116,6 +117,38 @@ pub fn prepare_rootfs(
     invoker_uid: u32,
     id_persistence: IdPersistence,
 ) -> KResult<(Filesystem, StorageCost)> {
+    prepare_rootfs_from(image, driver, backend, sysctl, invoker_uid, id_persistence)
+}
+
+/// Installs `entries` into `fs` as every runtime here unpacks an image:
+/// device nodes skipped, ownership forced to `force_owner` when given.
+pub(crate) fn unpack_entries(
+    fs: &mut Filesystem,
+    entries: &dyn EntrySource,
+    force_owner: Option<(Uid, Gid)>,
+) -> KResult<tar::InstallStats> {
+    tar::install(
+        fs,
+        entries,
+        "/",
+        &tar::UnpackOptions {
+            force_owner,
+            skip_devices: true,
+        },
+    )
+}
+
+/// [`prepare_rootfs`] from any entry source: an image's layer archives or a
+/// live tree ([`tar::tree`]). The cost counts every entry the source yields
+/// and every regular-file byte, in the same pass that installs them.
+pub(crate) fn prepare_rootfs_from(
+    entries: &dyn EntrySource,
+    driver: StorageDriver,
+    backend: FsBackend,
+    sysctl: &Sysctl,
+    invoker_uid: u32,
+    id_persistence: IdPersistence,
+) -> KResult<(Filesystem, StorageCost)> {
     driver.available_unprivileged(sysctl, &backend)?;
     if id_persistence == IdPersistence::SubordinateIds
         && !backend.supports_subordinate_uid_creation()
@@ -126,27 +159,11 @@ pub fn prepare_rootfs(
         return Err(Errno::EOPNOTSUPP);
     }
     let mut fs = Filesystem::new(backend);
-    let mut cost = StorageCost::default();
-    for layer in &image.layers {
-        let entries = tar::list(&layer.tar)?;
-        for e in &entries {
-            cost.inodes_copied += 1;
-            cost.bytes_copied += e.content.len() as u64;
-        }
-        let force_owner = match id_persistence {
-            IdPersistence::SingleUser => Some((Uid(invoker_uid), hpcc_kernel::Gid(invoker_uid))),
-            _ => None,
-        };
-        tar::unpack(
-            &mut fs,
-            &layer.tar,
-            "/",
-            &tar::UnpackOptions {
-                force_owner,
-                skip_devices: true,
-            },
-        )?;
-    }
+    let force_owner = match id_persistence {
+        IdPersistence::SingleUser => Some((Uid(invoker_uid), Gid(invoker_uid))),
+        _ => None,
+    };
+    let stats = unpack_entries(&mut fs, entries, force_owner)?;
     // ID persistence via xattrs: one xattr per inode.
     if id_persistence == IdPersistence::UserXattrs {
         let paths: Vec<String> = fs.walk().into_iter().map(|(p, _)| p).collect();
@@ -167,8 +184,12 @@ pub fn prepare_rootfs(
             )?;
         }
     }
-    cost.cost_units = (cost.bytes_copied as f64 * driver.space_overhead_factor()) as u64
-        + cost.inodes_copied as u64;
+    let cost = StorageCost {
+        inodes_copied: stats.entries,
+        bytes_copied: stats.bytes,
+        cost_units: (stats.bytes as f64 * driver.space_overhead_factor()) as u64
+            + stats.entries as u64,
+    };
     Ok((fs, cost))
 }
 
@@ -176,7 +197,7 @@ pub fn prepare_rootfs(
 mod tests {
     use super::*;
     use hpcc_image::ImageConfig;
-    use hpcc_kernel::{Credentials, Gid, UserNamespace};
+    use hpcc_kernel::{Credentials, UserNamespace};
     use hpcc_vfs::{Actor, Mode};
 
     fn sample_image() -> Image {

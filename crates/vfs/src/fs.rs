@@ -156,12 +156,17 @@ impl Filesystem {
     /// Sum of regular-file sizes, in bytes.
     pub fn total_file_bytes(&self) -> u64 {
         let mut total = 0u64;
-        self.inodes.for_each(|_, i| {
+        self.for_each_inode(|i| {
             if let InodeData::Regular { content } = &i.data {
                 total += content.len() as u64;
             }
         });
         total
+    }
+
+    /// Visits every inode, root included (order unspecified).
+    pub(crate) fn for_each_inode(&self, mut f: impl FnMut(&Inode)) {
+        self.inodes.for_each(|_, i| f(i));
     }
 
     /// Borrow an inode.
@@ -627,14 +632,37 @@ impl Filesystem {
         gid: Gid,
         mode: Mode,
     ) -> KResult<Ino> {
-        if !self.backend.supports_device_nodes() {
-            return Err(Errno::EPERM);
+        self.install_special(path, InodeData::CharDevice { major, minor }, uid, gid, mode)
+    }
+
+    /// Installs a character or block device, FIFO or socket without
+    /// permission checks, creating parent directories as needed. Device
+    /// nodes fail with `EPERM` on backends that do not support them; other
+    /// payloads fail with `EINVAL` (they have installers of their own).
+    pub fn install_special(
+        &mut self,
+        path: &str,
+        data: InodeData,
+        uid: Uid,
+        gid: Gid,
+        mode: Mode,
+    ) -> KResult<Ino> {
+        match data.file_type() {
+            FileType::CharDevice | FileType::BlockDevice => {
+                if !self.backend.supports_device_nodes() {
+                    return Err(Errno::EPERM);
+                }
+            }
+            FileType::Fifo | FileType::Socket => {}
+            FileType::Regular | FileType::Directory | FileType::Symlink => {
+                return Err(Errno::EINVAL)
+            }
         }
         let comps = PathComponents::parse(path);
         let comps = comps.as_slice();
         let (&name, dir_comps) = comps.split_last().ok_or(Errno::EINVAL)?;
         let parent = self.install_dir_comps(dir_comps, uid, gid, Mode::new(0o755))?;
-        let ino = self.alloc(InodeData::CharDevice { major, minor }, uid, gid, mode);
+        let ino = self.alloc(data, uid, gid, mode);
         self.link_entry(parent, name.to_string(), ino)?;
         Ok(ino)
     }
