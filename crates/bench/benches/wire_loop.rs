@@ -17,6 +17,10 @@
 //! frame pays its full cost on the measured path. Getattr (the cheapest
 //! op, so the purest view of fixed overhead) and a 4 KiB read (payload
 //! copy into the frame each way) are recorded alongside for PERF.md §10.
+//! `wire/stream_roundtrip_lookup_batch` runs the gated lookup batch over a
+//! Unix socketpair instead of the in-memory channel, so it adds the
+//! stream transport's syscalls and framing (PERF.md §14); it is recorded
+//! but not gated.
 
 use std::time::Duration;
 
@@ -24,8 +28,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hpcc_bench::WIRE_OPS_PER_BATCH;
 use hpcc_fuseproto::{
-    ChannelTransport, Client, Dispatch, FsCreds, MemFs, OpenFlags, Operation, RecvOutcome, Reply,
-    Request, RetryPolicy, Server, ServerEvent, Session, Transport, TransportError,
+    unix_pair, ChannelTransport, Client, Dispatch, FsCreds, MemFs, OpenFlags, Operation,
+    RecvOutcome, Reply, Request, RetryPolicy, Server, ServerEvent, Session, Transport,
+    TransportError,
 };
 use hpcc_kernel::{Gid, Uid, UserNamespace};
 use hpcc_vfs::{Filesystem, Mode};
@@ -154,6 +159,31 @@ fn bench_wire_loop(c: &mut Criterion) {
             let mut last = 0;
             for _ in 0..WIRE_OPS_PER_BATCH {
                 match roundtrip(black_box(&lookup)) {
+                    Reply::Entry(e) => last = e.ino,
+                    other => panic!("{other:?}"),
+                }
+            }
+            last
+        })
+    });
+
+    // The same lookup batch, lockstep over a Unix socketpair: every round
+    // trip pays real socket writes and reads on both ends.
+    let (server_end, client_end) = unix_pair().expect("socketpair");
+    let mut stream_server = Server::new(bench_session(), server_end);
+    let mut stream_client = Client::new(client_end);
+    group.bench_function("stream_roundtrip_lookup_batch", |b| {
+        b.iter(|| {
+            let mut last = 0;
+            for _ in 0..WIRE_OPS_PER_BATCH {
+                let pending = stream_client
+                    .send_request(black_box(&lookup))
+                    .expect("send");
+                assert_eq!(
+                    stream_server.serve_one().expect("serve"),
+                    ServerEvent::Served
+                );
+                match stream_client.recv_reply(pending).expect("recv") {
                     Reply::Entry(e) => last = e.ino,
                     other => panic!("{other:?}"),
                 }

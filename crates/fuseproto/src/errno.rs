@@ -96,6 +96,7 @@ impl Errno {
             39 => ENOTEMPTY,
             40 => ELOOP,
             61 => ENODATA,
+            75 => EOVERFLOW,
             87 => EUSERS,
             95 => EOPNOTSUPP,
             122 => EDQUOT,
@@ -166,6 +167,7 @@ mod tests {
         (KernelErrno::ENOTEMPTY, 39, "ENOTEMPTY"),
         (KernelErrno::ELOOP, 40, "ELOOP"),
         (KernelErrno::ENODATA, 61, "ENODATA"),
+        (KernelErrno::EOVERFLOW, 75, "EOVERFLOW"),
         (KernelErrno::EUSERS, 87, "EUSERS"),
         (KernelErrno::EOPNOTSUPP, 95, "EOPNOTSUPP"),
         (KernelErrno::EDQUOT, 122, "EDQUOT"),

@@ -457,18 +457,8 @@ impl<T: Transport> Client<T> {
         self.next_unique += 1;
         encode_destroy(&mut self.out_buf, unique);
         self.transport.send(&self.out_buf)?;
-        if !self.transport.recv(&mut self.in_buf)? {
-            return Err(ClientError::Transport(TransportError::Closed));
-        }
-        let (got, reply) = decode_reply(&self.in_buf, ReplyKind::Unit)?;
-        if got != unique {
-            return Err(ClientError::WrongUnique {
-                expected: unique,
-                got,
-            });
-        }
-        debug_assert_eq!(reply, Reply::Unit);
-        Ok(())
+        let kind = ReplyKind::Unit;
+        self.recv_reply(PendingCall { unique, kind }).map(drop)
     }
 }
 

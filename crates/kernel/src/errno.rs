@@ -62,6 +62,9 @@ pub enum Errno {
     EDQUOT,
     /// No data available (used for missing xattrs).
     ENODATA,
+    /// Value too large for defined data type (an ID or size that does not
+    /// fit its archive header field).
+    EOVERFLOW,
     /// Too many users (used when namespace limits are exhausted).
     EUSERS,
     /// Resource temporarily unavailable.
@@ -96,6 +99,7 @@ impl Errno {
             Errno::ENOTEMPTY => 39,
             Errno::ELOOP => 40,
             Errno::ENODATA => 61,
+            Errno::EOVERFLOW => 75,
             Errno::EUSERS => 87,
             Errno::EOPNOTSUPP => 95,
             Errno::EDQUOT => 122,
@@ -129,6 +133,7 @@ impl Errno {
             Errno::ENOTEMPTY => "Directory not empty",
             Errno::ELOOP => "Too many levels of symbolic links",
             Errno::ENODATA => "No data available",
+            Errno::EOVERFLOW => "Value too large for defined data type",
             Errno::EUSERS => "Too many users",
             Errno::EOPNOTSUPP => "Operation not supported",
             Errno::EDQUOT => "Disk quota exceeded",
@@ -162,6 +167,7 @@ impl Errno {
             Errno::ENOTEMPTY => "ENOTEMPTY",
             Errno::ELOOP => "ELOOP",
             Errno::ENODATA => "ENODATA",
+            Errno::EOVERFLOW => "EOVERFLOW",
             Errno::EUSERS => "EUSERS",
             Errno::EOPNOTSUPP => "EOPNOTSUPP",
             Errno::EDQUOT => "EDQUOT",
@@ -199,6 +205,7 @@ mod tests {
         assert_eq!(Errno::EINVAL.code(), 22);
         assert_eq!(Errno::ENOSYS.code(), 38);
         assert_eq!(Errno::ENOTEMPTY.code(), 39);
+        assert_eq!(Errno::EOVERFLOW.code(), 75);
     }
 
     #[test]
@@ -256,6 +263,7 @@ mod tests {
             Errno::ENOTEMPTY,
             Errno::ELOOP,
             Errno::ENODATA,
+            Errno::EOVERFLOW,
             Errno::EUSERS,
             Errno::EOPNOTSUPP,
             Errno::EDQUOT,

@@ -95,15 +95,21 @@ pub struct TarEntry {
 
 /// Writes `value` as zero-padded octal digits with a trailing NUL — the old
 /// `format!("{:0width$o}")` allocated a `String` per field, eight fields per
-/// entry, on the layer-packing hot path.
-fn octal_field(buf: &mut [u8], value: u64) {
+/// entry, on the layer-packing hot path. A value with more digits than the
+/// field holds (a uid, gid or device number above 2,097,151, a size of
+/// 8 GiB or more) is `EOVERFLOW`, never a field with its high digits cut.
+fn octal_field(buf: &mut [u8], value: u64) -> KResult<()> {
     let n = buf.len() - 1;
+    if value >> (3 * n) != 0 {
+        return Err(Errno::EOVERFLOW);
+    }
     buf[n] = 0;
     let mut v = value;
     for slot in buf[..n].iter_mut().rev() {
         *slot = b'0' + (v & 7) as u8;
         v >>= 3;
     }
+    Ok(())
 }
 
 /// Parses an octal header field in place (no intermediate `String`).
@@ -155,8 +161,9 @@ fn io_err(_: std::io::Error) -> Errno {
 /// straight from its source, so encoding never copies file bytes.
 ///
 /// The ustar field widths are this encoder's limits alone: names and link
-/// targets over 100 bytes fail with `ENAMETOOLONG` here, while [`install`]
-/// takes them from a [`tree`] as they are.
+/// targets over 100 bytes fail with `ENAMETOOLONG` here, and numbers too
+/// big for their octal fields with `EOVERFLOW`, while [`install`] takes
+/// them from a [`tree`] as they are.
 fn write_entry<W: std::io::Write>(e: &TarEntryRef<'_>, out: &mut W) -> KResult<()> {
     let mut hdr = [0u8; BLOCK];
     // Name written in place — no `String` is built per entry.
@@ -170,16 +177,16 @@ fn write_entry<W: std::io::Write>(e: &TarEntryRef<'_>, out: &mut W) -> KResult<(
         hdr[e.path.len()] = b'/';
     }
     let content = e.content.as_slice();
-    octal_field(&mut hdr[100..108], e.mode.bits() as u64);
-    octal_field(&mut hdr[108..116], e.uid as u64);
-    octal_field(&mut hdr[116..124], e.gid as u64);
+    octal_field(&mut hdr[100..108], e.mode.bits() as u64)?;
+    octal_field(&mut hdr[108..116], e.uid as u64)?;
+    octal_field(&mut hdr[116..124], e.gid as u64)?;
     let size = if e.file_type == FileType::Regular {
         content.len() as u64
     } else {
         0
     };
-    octal_field(&mut hdr[124..136], size);
-    octal_field(&mut hdr[136..148], 0); // mtime
+    octal_field(&mut hdr[124..136], size)?;
+    octal_field(&mut hdr[136..148], 0)?; // mtime
     hdr[156] = type_flag(e.file_type);
     if e.file_type == FileType::Symlink {
         let t = e.link_target.as_bytes();
@@ -191,8 +198,8 @@ fn write_entry<W: std::io::Write>(e: &TarEntryRef<'_>, out: &mut W) -> KResult<(
     hdr[257..262].copy_from_slice(b"ustar");
     hdr[263..265].copy_from_slice(b"00");
     if let Some((maj, min)) = e.dev {
-        octal_field(&mut hdr[329..337], maj as u64);
-        octal_field(&mut hdr[337..345], min as u64);
+        octal_field(&mut hdr[329..337], maj as u64)?;
+        octal_field(&mut hdr[337..345], min as u64)?;
     }
     // Checksum: spaces during computation.
     for b in &mut hdr[148..156] {
@@ -973,6 +980,69 @@ mod tests {
         install(&mut dst, &entries, "/img", &UnpackOptions::default()).unwrap();
         let path = long.replacen("/image", "/img", 1);
         assert_eq!(dst.read_file(&actor, &path).unwrap(), b"x");
+    }
+
+    /// ustar's 7-digit ID and device fields stop at 2,097,151 and its
+    /// 11-digit size field below 8 GiB; a bigger value fails the pack with
+    /// `EOVERFLOW` rather than losing its high digits, while installing the
+    /// tree directly keeps the full ID.
+    #[test]
+    fn numbers_too_big_for_their_fields_fail_to_encode() {
+        let (c, n) = root_actor_parts();
+        let actor = Actor::new(&c, &n);
+        let options = PackOptions::default();
+        for (uid, gid) in [(2_097_152, 0), (0, 2_097_152), (u32::MAX, 0), (0, u32::MAX)] {
+            let mut fs = Filesystem::new_local();
+            fs.install_file(
+                "/image/f",
+                b"x".to_vec(),
+                Uid(uid),
+                Gid(gid),
+                Mode::FILE_644,
+            )
+            .unwrap();
+            assert_eq!(
+                pack(&fs, &actor, "/image", &options).unwrap_err(),
+                Errno::EOVERFLOW,
+                "uid {uid} gid {gid}"
+            );
+            let mut dst = Filesystem::new_local();
+            let entries = tree(&fs, &actor, "/image", &options);
+            install(&mut dst, &entries, "/img", &UnpackOptions::default()).unwrap();
+            let st = dst.lstat(&actor, "/img/f").unwrap();
+            assert_eq!((st.uid_host, st.gid_host), (Uid(uid), Gid(gid)));
+        }
+
+        // The largest values that fit still round-trip.
+        let mut fs = Filesystem::new_local();
+        fs.install_file(
+            "/image/f",
+            b"x".to_vec(),
+            Uid(2_097_151),
+            Gid(2_097_151),
+            Mode::FILE_644,
+        )
+        .unwrap();
+        let archive = pack(&fs, &actor, "/image", &options).unwrap();
+        let e = list(&archive).unwrap().into_iter().find(|e| e.path == "f");
+        assert_eq!(e.map(|e| (e.uid, e.gid)), Some((2_097_151, 2_097_151)));
+
+        let mut fs = Filesystem::new_local();
+        let dev = InodeData::CharDevice {
+            major: 1 << 21,
+            minor: 3,
+        };
+        fs.install_special("/image/d", dev, Uid(0), Gid(0), Mode::FILE_644)
+            .unwrap();
+        assert_eq!(
+            pack(&fs, &actor, "/image", &options).unwrap_err(),
+            Errno::EOVERFLOW
+        );
+
+        let mut size = [0u8; 12];
+        assert_eq!(octal_field(&mut size, 8 << 30), Err(Errno::EOVERFLOW));
+        octal_field(&mut size, (8 << 30) - 1).unwrap();
+        assert_eq!(&size, b"77777777777\0");
     }
 
     #[test]
